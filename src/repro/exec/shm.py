@@ -1,104 +1,28 @@
-"""Shared-memory result transfer for the worker pool.
+"""Result encoding for the warm worker pool.
 
-A campaign cell can return megabytes of trace records; round-tripping
-that through the pool's result pipe means pickling in the worker,
-chunked pipe writes, and a reassembling read in the parent. For large
-payloads it is cheaper to pickle once into a ``multiprocessing``
-shared-memory block and send only the block's *name* through the pipe.
+A worker pickles each cell's result once with :func:`encode_result` and
+the parent restores it with :func:`decode_result`. Every job kind's
+result is a few hundred bytes to under 2 KB, so it travels inline
+through the pool's result pipe.
 
-Protocol
---------
-Workers call :func:`encode_result` on the handler's return value and
-send the small envelope it returns; the parent calls
-:func:`decode_result` on arrival. Payloads under :data:`SHM_THRESHOLD`
-(or when shared memory is unavailable / disabled via ``REPRO_SHM=0``)
-travel as an inline pickle — the envelope carries the already-pickled
-bytes so the pool does not pickle the object a second time.
-
-Lifecycle: the worker *creates* the block and immediately unregisters it
-from its own ``resource_tracker`` (otherwise the tracker destroys the
-segment when the worker is reaped, racing the parent's read); the parent
-attaches, reads, closes, and unlinks. A crashed parent can leak a
-segment — bounded by the campaign's in-flight window, and the OS reclaims
-``/dev/shm`` at reboot; the determinism contract is unaffected either
-way because both envelope forms carry identical pickled bytes.
+The module once also moved large results through ``/dev/shm`` blocks;
+no result ever reached that path's 256 KiB threshold, and it is gone.
+The module keeps its name because the benchmark's traced run
+(``perfbench/probes.py``) probes ``repro.exec.shm.encode_result`` to
+measure result bytes per cell.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
-from typing import Any, Optional, Tuple
-
-#: Payloads at or above this many pickled bytes ride shared memory.
-#: Overridable via ``REPRO_SHM_THRESHOLD`` (bytes) — read at call time so
-#: tests can force the shm path onto arbitrarily small results.
-SHM_THRESHOLD = 256 * 1024
+from typing import Any
 
 
-def shm_threshold() -> int:
-    raw = os.environ.get("REPRO_SHM_THRESHOLD", "")
-    try:
-        return int(raw)
-    except ValueError:
-        return SHM_THRESHOLD
+def encode_result(obj: Any) -> bytes:
+    """Pickle one job result for the trip back to the parent."""
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def shm_enabled() -> bool:
-    """Shared-memory transfer is on unless ``REPRO_SHM=0`` (or import of
-    the stdlib module fails on an exotic platform)."""
-    if os.environ.get("REPRO_SHM", "") == "0":
-        return False
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError:  # pragma: no cover - platform without shm
-        return False
-    return True
-
-
-def encode_result(obj: Any, *, threshold: Optional[int] = None) -> Tuple:
-    """Pickle ``obj``; ship via shared memory when it is large enough.
-
-    Returns a small picklable envelope: ``("pickle", bytes)`` inline or
-    ``("shm", name, nbytes)`` naming a block the parent must reclaim.
-    """
-    if threshold is None:
-        threshold = shm_threshold()
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(data) < threshold or not shm_enabled():
-        return ("pickle", data)
-    from multiprocessing import resource_tracker, shared_memory
-
-    try:
-        block = shared_memory.SharedMemory(create=True, size=len(data))
-    except OSError:  # pragma: no cover - /dev/shm full or unavailable
-        return ("pickle", data)
-    block.buf[: len(data)] = data
-    name = block.name
-    block.close()
-    # The creating process's resource tracker would unlink the segment at
-    # worker shutdown, racing the parent's read — ownership transfers to
-    # the parent with the envelope.
-    try:
-        resource_tracker.unregister(block._name, "shared_memory")
-    except (AttributeError, OSError):  # pragma: no cover - tracker moved
-        pass
-    return ("shm", name, len(data))
-
-
-def decode_result(envelope: Tuple) -> Any:
-    """Reverse :func:`encode_result`; reclaims the shm block if any."""
-    tag = envelope[0]
-    if tag == "pickle":
-        return pickle.loads(envelope[1])
-    if tag == "shm":
-        from multiprocessing import shared_memory
-
-        _, name, nbytes = envelope
-        block = shared_memory.SharedMemory(name=name)
-        try:
-            return pickle.loads(block.buf[:nbytes])
-        finally:
-            block.close()
-            block.unlink()
-    raise ValueError(f"unknown result envelope tag {tag!r}")
+def decode_result(data: bytes) -> Any:
+    """Reverse :func:`encode_result`."""
+    return pickle.loads(data)

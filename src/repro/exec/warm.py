@@ -9,9 +9,7 @@ for the whole process and streams job cells through
 re-keyed by submission index, so the bit-identical parallel==serial
 contract is untouched.
 
-Results come back through the shared-memory envelope protocol
-(:mod:`repro.exec.shm`): large trace payloads ride ``/dev/shm`` blocks,
-small ones an inline pickle.
+Each result comes back as one inline pickle (:mod:`repro.exec.shm`).
 
 Stats: each dispatch records which worker pid ran each job, so
 ``repro bench`` can show how much fork work the warmth saved
@@ -30,11 +28,11 @@ from repro.exec.jobs import SimJob, execute_job
 from repro.exec.shm import decode_result, encode_result
 
 
-def _warm_execute(indexed_job: Tuple[int, SimJob]) -> Tuple[int, int, Tuple]:
-    """Worker-side: run one job, envelope the result.
+def _warm_execute(indexed_job: Tuple[int, SimJob]) -> Tuple[int, int, bytes]:
+    """Worker-side: run one job, pickle the result.
 
-    Returns ``(submission index, worker pid, envelope)`` — the index keys
-    the deterministic merge, the pid feeds the reuse stats.
+    Returns ``(submission index, worker pid, pickled result)`` — the index
+    keys the deterministic merge, the pid feeds the reuse stats.
     """
     index, job = indexed_job
     return index, os.getpid(), encode_result(execute_job(job))
@@ -63,9 +61,9 @@ class WarmPool:
         stream = self._pool.imap_unordered(
             _warm_execute, list(enumerate(jobs_list)), chunksize=1
         )
-        for index, pid, envelope in stream:
+        for index, pid, data in stream:
             self.worker_jobs[pid] += 1
-            results[index] = decode_result(envelope)
+            results[index] = decode_result(data)
         self.jobs_run += len(jobs_list)
         return [results[i] for i in range(len(jobs_list))]
 

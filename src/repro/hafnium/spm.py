@@ -37,12 +37,12 @@ from repro.hafnium.exits import (
 )
 from repro.hafnium.mailbox import Mailbox
 from repro.hafnium.manifest import Manifest, PartitionSpec, VmRole
-from repro.hafnium.stage2 import build_ram_stage2, map_mmio_region, s2_walk_depth
+from repro.hafnium.stage2 import build_ram_stage2, map_mmio_region
 from repro.hafnium.vm import Vcpu, VcpuState, Vm
 from repro.hw.cpu import Core, ExceptionLevel, SecurityWorld
 from repro.hw.gic import PPI_VIRT_TIMER
 from repro.hw.machine import Machine
-from repro.hw.mmu import PAGE_4K, TranslationRegime
+from repro.hw.mmu import PAGE_4K, WALK_DEPTH, TranslationRegime
 from repro.hw.perfmodel import TranslationInfo
 from repro.kernels.base import (
     CpuSlot,
@@ -176,7 +176,7 @@ class Spm:
 
     def _guest_translation(self, kernel: KernelBase) -> TranslationInfo:
         s1 = kernel.trans
-        s2_depth = s2_walk_depth(self.stage2_block)
+        s2_depth = WALK_DEPTH[self.stage2_block]
         return TranslationInfo(
             two_stage=True,
             s1_depth=s1.s1_depth,

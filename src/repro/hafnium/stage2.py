@@ -74,8 +74,3 @@ def map_mmio_region(
         attrs=PageAttrs(read=True, write=True, execute=False, device=True, owner=vm_name),
         block_size=PAGE_4K,
     )
-
-
-def s2_walk_depth(block_size: int) -> int:
-    """Stage-2 walk levels for the chosen granularity."""
-    return 3 if block_size == PAGE_4K else 2

@@ -2,10 +2,15 @@
 
 We model the ARMv8 4 KiB-granule, 39-bit VA regime the Kitten ARM64 port
 uses: a 3-level table where level 1 maps 1 GiB blocks, level 2 maps 2 MiB
-blocks, and level 3 maps 4 KiB pages. Mappings are stored per block size;
-``translate`` reports both the output address and the number of descriptor
-fetches the hardware walker would have performed — the quantity the
-performance model charges on a TLB miss.
+blocks, and level 3 maps 4 KiB pages. A table is stored as a sorted list
+of non-overlapping extents, one per ``map`` call: ``[start, end)`` mapped
+to an output base with one block size and one set of attributes. An
+extent stands for the ``(end - start) / block_size`` descriptors a real
+table would hold, so overlap checks and lookups are a ``bisect`` each, and
+``entry_count`` still counts descriptors. ``translate`` reports both the
+output address and the number of descriptor fetches the hardware walker
+would have performed — the quantity the performance model charges on a
+TLB miss.
 
 Under virtualization every stage-1 descriptor fetch is itself translated
 by stage 2, so a combined walk costs ``(n1 + 1) * (n2 + 1) - 1`` memory
@@ -15,8 +20,9 @@ why RandomAccess suffers most under Hafnium.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, HardwareFault
 
@@ -27,7 +33,7 @@ BLOCK_1G = 1024 * 1024 * 1024
 # Walk depth (descriptor fetches) by mapping granularity, for the 3-level
 # 39-bit VA regime: a 1 GiB block resolves at level 1 (1 fetch), a 2 MiB
 # block at level 2 (2 fetches), a 4 KiB page at level 3 (3 fetches).
-_WALK_DEPTH = {BLOCK_1G: 1, BLOCK_2M: 2, PAGE_4K: 3}
+WALK_DEPTH = {BLOCK_1G: 1, BLOCK_2M: 2, PAGE_4K: 3}
 VALID_BLOCK_SIZES = (PAGE_4K, BLOCK_2M, BLOCK_1G)
 
 VA_BITS = 39
@@ -63,6 +69,17 @@ class PageAttrs:
         raise ValueError(f"unknown access kind {access!r}")
 
 
+class Extent(NamedTuple):
+    """One contiguous mapping: input ``[start, end)`` -> ``output_base``
+    onward, built from ``block_size`` descriptors sharing ``attrs``."""
+
+    start: int
+    end: int
+    output_base: int
+    attrs: PageAttrs
+    block_size: int
+
+
 class PageTable:
     """One translation stage; maps input addresses to output addresses."""
 
@@ -71,12 +88,12 @@ class PageTable:
             raise ConfigurationError(f"stage must be 1 or 2, got {stage}")
         self.name = name
         self.stage = stage
-        # block_size -> {aligned input addr -> (output addr, attrs)}
-        self._maps: Dict[int, Dict[int, Tuple[int, PageAttrs]]] = {
-            PAGE_4K: {},
-            BLOCK_2M: {},
-            BLOCK_1G: {},
-        }
+        # Non-overlapping extents sorted by start; _starts mirrors their
+        # start addresses for bisect (bisect's key= needs Python 3.10).
+        self._extents: List[Extent] = []
+        self._starts: List[int] = []
+        # block_size -> bytes mapped with descriptors of that size
+        self._bytes: Dict[int, int] = {bs: 0 for bs in VALID_BLOCK_SIZES}
         self.generation = 0  # bumped on any change; TLB shootdown hook
 
     # -- construction ------------------------------------------------------
@@ -92,8 +109,9 @@ class PageTable:
         """Map [va, va+size) -> [pa, pa+size) using `block_size` entries.
 
         Returns the number of entries installed. Addresses and size must be
-        block aligned; overlapping an existing mapping is an error (the
-        hypervisor model relies on this to prevent aliasing two VMs).
+        block aligned; overlapping an existing mapping at any granularity
+        is an error (the hypervisor model relies on this to prevent
+        aliasing two VMs).
         """
         if block_size not in VALID_BLOCK_SIZES:
             raise ConfigurationError(f"invalid block size {block_size:#x}")
@@ -104,34 +122,59 @@ class PageTable:
             )
         if size <= 0:
             raise ConfigurationError("mapping size must be positive")
-        if va + size > VA_LIMIT:
+        end = va + size
+        if end > VA_LIMIT:
             raise ConfigurationError(
                 f"{self.name}: VA {va:#x}+{size:#x} exceeds {VA_BITS}-bit space"
             )
-        count = size // block_size
-        table = self._maps[block_size]
-        # Check for overlap at every granularity before touching state.
-        for i in range(count):
-            block_va = va + i * block_size
-            if self._lookup_block(block_va) is not None:
-                raise ConfigurationError(
-                    f"{self.name}: {block_va:#x} already mapped"
-                )
-        for i in range(count):
-            table[va + i * block_size] = (pa + i * block_size, attrs)
+        # The only extents that can overlap are the last one starting at or
+        # before `va` and the first one starting after it.
+        i = bisect_right(self._starts, va)
+        clash = None
+        if i and self._extents[i - 1].end > va:
+            clash = va
+        elif i < len(self._starts) and self._starts[i] < end:
+            clash = self._starts[i] & ~(block_size - 1)
+        if clash is not None:
+            raise ConfigurationError(f"{self.name}: {clash:#x} already mapped")
+        self._extents.insert(i, Extent(va, end, pa, attrs, block_size))
+        self._starts.insert(i, va)
+        self._bytes[block_size] += size
         self.generation += 1
-        return count
+        return size // block_size
 
     def unmap(self, va: int, size: int, block_size: int = PAGE_4K) -> int:
-        """Remove entries covering [va, va+size). Returns entries removed."""
+        """Remove the `block_size` entries covering [va, va+size).
+
+        Entries of other sizes in the range stay. Returns entries removed.
+        """
+        if block_size not in VALID_BLOCK_SIZES:
+            raise ConfigurationError(f"invalid block size {block_size:#x}")
         if va % block_size or size % block_size:
             raise ConfigurationError("unmap range not block aligned")
-        table = self._maps[block_size]
+        end = va + size
+        extents = self._extents
+        lo = hi = max(bisect_right(self._starts, va) - 1, 0)
+        kept: List[Extent] = []
         removed = 0
-        for i in range(size // block_size):
-            if table.pop(va + i * block_size, None) is not None:
-                removed += 1
+        while hi < len(extents) and extents[hi].start < end:
+            ext = extents[hi]
+            hi += 1
+            cut_lo, cut_hi = max(ext.start, va), min(ext.end, end)
+            if ext.block_size != block_size or cut_lo >= cut_hi:
+                kept.append(ext)
+                continue
+            if ext.start < cut_lo:
+                kept.append(ext._replace(end=cut_lo))
+            if cut_hi < ext.end:
+                kept.append(ext._replace(
+                    start=cut_hi, output_base=ext.output_base + cut_hi - ext.start
+                ))
+            removed += (cut_hi - cut_lo) // block_size
         if removed:
+            extents[lo:hi] = kept
+            self._starts[lo:hi] = [ext.start for ext in kept]
+            self._bytes[block_size] -= removed * block_size
             self.generation += 1
         return removed
 
@@ -140,16 +183,17 @@ class PageTable:
     def _lookup_block(self, addr: int) -> Optional[Tuple[int, int, PageAttrs, int]]:
         """Find the mapping covering `addr`.
 
-        Returns (block_va, output_base, attrs, block_size) or None.
-        Larger blocks are checked first, mirroring how a real walk resolves
-        at the shallowest level that holds a block descriptor.
+        Returns (block_va, output_base, attrs, block_size) for the single
+        descriptor holding `addr`, or None.
         """
-        for block_size in (BLOCK_1G, BLOCK_2M, PAGE_4K):
-            block_va = addr & ~(block_size - 1)
-            hit = self._maps[block_size].get(block_va)
-            if hit is not None:
-                return (block_va, hit[0], hit[1], block_size)
-        return None
+        i = bisect_right(self._starts, addr) - 1
+        if i < 0:
+            return None
+        start, end, out_base, attrs, block_size = self._extents[i]
+        if addr >= end:
+            return None
+        block_va = addr & ~(block_size - 1)
+        return (block_va, out_base + (block_va - start), attrs, block_size)
 
     def translate(self, addr: int, access: str = "r") -> Tuple[int, int, PageAttrs, int]:
         """Translate one input address.
@@ -174,31 +218,26 @@ class PageTable:
                 stage=self.stage,
                 reason="permission",
             )
-        return (out_base + (addr - block_va), _WALK_DEPTH[block_size], attrs, block_size)
+        return (out_base + (addr - block_va), WALK_DEPTH[block_size], attrs, block_size)
 
     def is_mapped(self, addr: int) -> bool:
         return self._lookup_block(addr) is not None
 
-    def entries(self) -> Iterator[Tuple[int, int, int, PageAttrs]]:
-        """Iterate (va, pa, block_size, attrs) over all entries."""
-        for block_size, table in self._maps.items():
-            for va, (pa, attrs) in table.items():
-                yield (va, pa, block_size, attrs)
+    def extents(self) -> Iterator[Extent]:
+        """Iterate the mappings as extents, in input-address order."""
+        return iter(self._extents[:])
 
     def entry_count(self) -> int:
-        return sum(len(t) for t in self._maps.values())
+        """Descriptors installed (one per block of each extent)."""
+        return sum(b // bs for bs, b in self._bytes.items())
 
     def mapped_bytes(self) -> int:
-        return sum(bs * len(t) for bs, t in self._maps.items())
+        return sum(self._bytes.values())
 
     def dominant_block_size(self) -> int:
-        """The block size covering the most bytes (perf-model input)."""
-        best, best_bytes = PAGE_4K, -1
-        for bs, table in self._maps.items():
-            covered = bs * len(table)
-            if covered > best_bytes:
-                best, best_bytes = bs, covered
-        return best
+        """The block size covering the most bytes (perf-model input); ties
+        go to the smaller size."""
+        return max(VALID_BLOCK_SIZES, key=self._bytes.__getitem__)
 
 
 class TranslationRegime:
@@ -247,8 +286,8 @@ class TranslationRegime:
     def walk_refs_estimate(self) -> int:
         """Typical walk cost (descriptor fetches) for this regime, using the
         dominant block size of each stage — the perf model's TLB-miss cost."""
-        n1 = _WALK_DEPTH[self.stage1.dominant_block_size()] if self.stage1 else 0
-        n2 = _WALK_DEPTH[self.stage2.dominant_block_size()] if self.stage2 else 0
+        n1 = WALK_DEPTH[self.stage1.dominant_block_size()] if self.stage1 else 0
+        n2 = WALK_DEPTH[self.stage2.dominant_block_size()] if self.stage2 else 0
         if n1 and n2:
             return (n1 + 1) * (n2 + 1) - 1
         return n1 or n2

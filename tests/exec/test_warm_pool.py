@@ -1,10 +1,10 @@
-"""Warm pool + shared-memory transfer: bit-identity across every path.
+"""Warm pool: bit-identity across every path.
 
 The executor's contract is that *how* a cell runs (in-process, legacy
-fork-per-call pool, warm pool, shm vs inline-pickle envelopes) never
-changes the result — only wall-clock. These tests pin that with pickled
-bytes (literal bit-identity), over one small cell of **every registered
-job kind**, at ``jobs=1`` vs ``jobs=4``.
+fork-per-call pool, warm pool) never changes the result — only
+wall-clock. These tests pin that with pickled bytes (literal
+bit-identity), over one small cell of **every registered job kind**, at
+``jobs=1`` vs ``jobs=4``.
 """
 
 import pickle
@@ -13,7 +13,6 @@ import pytest
 
 from repro.exec.jobs import SimJob, job_kinds
 from repro.exec.runner import ParallelRunner
-from repro.exec.shm import decode_result, encode_result
 from repro.exec.warm import get_warm_pool, shutdown_warm_pools
 
 SEED = 20260806
@@ -80,18 +79,6 @@ def test_legacy_fork_per_call_matches_serial(serial_bits):
     assert _bits(cold) == serial_bits
 
 
-def test_forced_shm_path_matches_serial(serial_bits, monkeypatch):
-    # Threshold 0: every result rides a /dev/shm block. The pool must be
-    # forked *after* the env change so workers inherit it.
-    monkeypatch.setenv("REPRO_SHM_THRESHOLD", "0")
-    shutdown_warm_pools()
-    try:
-        forced = ParallelRunner(4, warm=True).run(_all_kind_cells())
-    finally:
-        shutdown_warm_pools()
-    assert _bits(forced) == serial_bits
-
-
 def test_warm_pool_reuse_stats_accumulate():
     shutdown_warm_pools()
     try:
@@ -112,14 +99,3 @@ def test_warm_pool_reuse_stats_accumulate():
     assert stats["reuse_ratio"] == pytest.approx(0.5)
     assert 1 <= stats["distinct_worker_pids"] <= 2
 
-
-def test_envelope_round_trip_both_forms():
-    payload = {"trace": list(range(50_000)), "digest": "d" * 64}
-    inline = encode_result(payload, threshold=10**9)
-    assert inline[0] == "pickle"
-    assert decode_result(inline) == payload
-    shm = encode_result(payload, threshold=0)
-    if shm[0] == "shm":  # pickle fallback allowed when /dev/shm is absent
-        assert decode_result(shm) == payload
-    else:
-        assert decode_result(shm) == payload

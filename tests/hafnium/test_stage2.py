@@ -5,9 +5,9 @@ from hypothesis import given, strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import MiB
-from repro.hafnium.stage2 import build_ram_stage2, map_mmio_region, s2_walk_depth
+from repro.hafnium.stage2 import build_ram_stage2, map_mmio_region
 from repro.hw.memory import MemoryRegion, PhysicalMemoryMap, RegionKind
-from repro.hw.mmu import BLOCK_2M, PAGE_4K, TranslationFault
+from repro.hw.mmu import BLOCK_2M, PAGE_4K, WALK_DEPTH, TranslationFault
 from repro.hw.soc import PINE_A64
 
 
@@ -59,8 +59,13 @@ def test_unaligned_partition_rejected():
 
 
 def test_s2_walk_depth():
-    assert s2_walk_depth(PAGE_4K) == 3
-    assert s2_walk_depth(BLOCK_2M) == 2
+    # The SPM prices guest walks from WALK_DEPTH; it must agree with the
+    # depth the built table actually walks at.
+    assert WALK_DEPTH[PAGE_4K] == 3
+    assert WALK_DEPTH[BLOCK_2M] == 2
+    for block_size in (PAGE_4K, BLOCK_2M):
+        pt = build_ram_stage2("x", region(), block_size=block_size)
+        assert pt.translate(0x5000_0000)[1] == WALK_DEPTH[block_size]
 
 
 def test_mmio_only_in_owner():

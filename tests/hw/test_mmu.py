@@ -1,7 +1,7 @@
 """Page tables, two-stage translation, and walk-cost accounting."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.hw.mmu import (
@@ -13,6 +13,7 @@ from repro.hw.mmu import (
     TranslationFault,
     TranslationRegime,
     VA_LIMIT,
+    WALK_DEPTH,
     walk_refs,
 )
 
@@ -85,6 +86,29 @@ class TestPageTable:
         with pytest.raises(ConfigurationError, match="already mapped"):
             pt.map(0x20_0000 + 8 * PAGE_4K, 0, PAGE_4K)
 
+    def test_block_over_existing_page_rejected(self):
+        pt = PageTable()
+        pt.map(0x1000, 0x8000_1000, PAGE_4K)
+        count, generation = pt.entry_count(), pt.generation
+        # The 2M block's base is free, but a 4K page inside it is not.
+        with pytest.raises(ConfigurationError, match="already mapped"):
+            pt.map(0, 0x4000_0000, BLOCK_2M, block_size=BLOCK_2M)
+        assert (pt.entry_count(), pt.generation) == (count, generation)
+        assert pt.translate(0x1000 + 5)[0] == 0x8000_1005
+        assert pt.translate(0x1000)[3] == PAGE_4K
+        assert not pt.is_mapped(0)
+
+    def test_1g_block_over_existing_2m_block_rejected(self):
+        pt = PageTable()
+        pt.map(BLOCK_1G + 3 * BLOCK_2M, 0x4000_0000, BLOCK_2M, block_size=BLOCK_2M)
+        count, generation = pt.entry_count(), pt.generation
+        with pytest.raises(ConfigurationError, match="already mapped"):
+            pt.map(BLOCK_1G, 0, BLOCK_1G, block_size=BLOCK_1G)
+        assert (pt.entry_count(), pt.generation) == (count, generation)
+        pa, depth, _, bs = pt.translate(BLOCK_1G + 3 * BLOCK_2M + 7)
+        assert (pa, depth, bs) == (0x4000_0007, 2, BLOCK_2M)
+        assert not pt.is_mapped(BLOCK_1G)
+
     def test_overlap_check_atomic(self):
         pt = PageTable()
         pt.map(2 * PAGE_4K, 0, PAGE_4K)
@@ -107,6 +131,33 @@ class TestPageTable:
         pt = PageTable()
         with pytest.raises(ConfigurationError, match="exceeds"):
             pt.map(VA_LIMIT - PAGE_4K, 0, 2 * PAGE_4K)
+
+    def test_unmap_splits_extent_and_keeps_other_sizes(self):
+        pt = PageTable()
+        pt.map(0, 0x10_0000, 8 * PAGE_4K)
+        pt.map(BLOCK_2M, 0x4000_0000, BLOCK_2M, block_size=BLOCK_2M)
+        # A hole in the middle leaves two pieces with their own PAs.
+        assert pt.unmap(2 * PAGE_4K, 2 * PAGE_4K) == 2
+        assert pt.translate(5 * PAGE_4K + 1)[0] == 0x10_0000 + 5 * PAGE_4K + 1
+        # 4K unmap over the 2M block removes nothing of it.
+        assert pt.unmap(6 * PAGE_4K, BLOCK_2M) == 2
+        assert pt.is_mapped(BLOCK_2M)
+        assert [(e.start, e.end, e.output_base) for e in pt.extents()] == [
+            (0, 2 * PAGE_4K, 0x10_0000),
+            (4 * PAGE_4K, 6 * PAGE_4K, 0x10_0000 + 4 * PAGE_4K),
+            (BLOCK_2M, 2 * BLOCK_2M, 0x4000_0000),
+        ]
+        assert pt.entry_count() == 4 + 1
+
+    def test_extents_in_address_order(self):
+        pt = PageTable()
+        attrs = PageAttrs(write=False, owner="x")
+        pt.map(BLOCK_2M, 0x4000_0000, BLOCK_2M, attrs=attrs, block_size=BLOCK_2M)
+        pt.map(0, 0x1000_0000, 2 * PAGE_4K)
+        assert list(pt.extents()) == [
+            (0, 2 * PAGE_4K, 0x1000_0000, PageAttrs(), PAGE_4K),
+            (BLOCK_2M, 2 * BLOCK_2M, 0x4000_0000, attrs, BLOCK_2M),
+        ]
 
     def test_unmap(self):
         pt = PageTable()
@@ -165,6 +216,95 @@ class TestPageTable:
         for i in page_indices:
             assert pt.unmap(i * PAGE_4K, PAGE_4K) == 1
         assert pt.entry_count() == 0
+
+
+# -- random mixed-granularity map/unmap against a brute-force reference ------
+#
+# The reference is a dict of 4K page index -> (pa, attrs, block_size). The
+# window holds four 2M blocks; 1G blocks are covered by the tests above,
+# since a per-4K reference of one would hold 262144 pages.
+
+WINDOW_PAGES = 4 * BLOCK_2M // PAGE_4K
+ATTR_CHOICES = (PageAttrs(), PageAttrs(write=False, owner="b"))
+
+_ops = st.one_of(
+    st.tuples(
+        st.sampled_from(("map", "unmap")),
+        st.just(PAGE_4K),
+        st.integers(0, WINDOW_PAGES - 1),
+        st.integers(1, 96),
+        st.integers(0, 1 << 12),
+        st.sampled_from(ATTR_CHOICES),
+    ),
+    st.tuples(
+        st.sampled_from(("map", "unmap")),
+        st.just(BLOCK_2M),
+        st.integers(0, 3),
+        st.integers(1, 2),
+        st.integers(0, 1 << 4),
+        st.sampled_from(ATTR_CHOICES),
+    ),
+)
+
+
+def _reference_counts(ref):
+    """(entry_count, mapped_bytes, dominant_block_size) of the reference."""
+    covered = {PAGE_4K: 0, BLOCK_2M: 0, BLOCK_1G: 0}
+    for _pa, _attrs, bs in ref.values():
+        covered[bs] += PAGE_4K
+    dominant = max(covered, key=lambda bs: (covered[bs], -bs))
+    entries = sum(b // bs for bs, b in covered.items())
+    return entries, len(ref) * PAGE_4K, dominant
+
+
+def _check_pages(pt, ref, pages):
+    for page in pages:
+        if not 0 <= page < 2 * WINDOW_PAGES:
+            continue
+        addr = page * PAGE_4K + 0x123
+        hit = ref.get(page)
+        assert pt.is_mapped(addr) == (hit is not None)
+        if hit is None:
+            with pytest.raises(TranslationFault):
+                pt.translate(addr)
+        else:
+            pa, attrs, bs = hit
+            assert pt.translate(addr) == (pa + 0x123, WALK_DEPTH[bs], attrs, bs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_ops, min_size=1, max_size=25))
+def test_property_mixed_granularity_matches_reference(ops):
+    pt = PageTable()
+    ref = {}
+    for op, bs, index, nblocks, pa_index, attrs in ops:
+        va, pa = index * bs, pa_index * bs
+        size = min(nblocks * bs, WINDOW_PAGES * PAGE_4K - va)
+        span = range(va // PAGE_4K, (va + size) // PAGE_4K)
+        before = (pt.entry_count(), pt.mapped_bytes(), pt.generation)
+        if op == "map":
+            if any(page in ref for page in span):
+                with pytest.raises(ConfigurationError, match="already mapped"):
+                    pt.map(va, pa, size, attrs=attrs, block_size=bs)
+                assert (pt.entry_count(), pt.mapped_bytes(), pt.generation) == before
+            else:
+                assert pt.map(va, pa, size, attrs=attrs, block_size=bs) == size // bs
+                for page in span:
+                    ref[page] = (pa + page * PAGE_4K - va, attrs, bs)
+                assert pt.generation == before[2] + 1
+        else:
+            gone = [page for page in span if page in ref and ref[page][2] == bs]
+            for page in gone:
+                del ref[page]
+            assert pt.unmap(va, size, block_size=bs) == len(gone) * PAGE_4K // bs
+            assert pt.generation == before[2] + (1 if gone else 0)
+        assert (pt.entry_count(), pt.mapped_bytes(), pt.dominant_block_size()) == (
+            _reference_counts(ref)
+        )
+        _check_pages(pt, ref, range(span.start - 1, span.stop + 1))
+    _check_pages(pt, ref, range(WINDOW_PAGES + 1))
+    extents = list(pt.extents())
+    assert all(a.end <= b.start for a, b in zip(extents, extents[1:]))
 
 
 class TestTranslationRegime:

@@ -42,8 +42,8 @@ class TestLayout:
             assert a.end <= b.va
 
     def test_all_mappings_are_large_blocks(self, aspace):
-        for va, _pa, block, _attrs in aspace.table.entries():
-            assert block == BLOCK_2M
+        for extent in aspace.table.extents():
+            assert extent.block_size == BLOCK_2M
 
     def test_backing_is_contiguous_per_segment(self, aspace):
         pa0, _, _, _ = aspace.translate(TEXT_BASE)
